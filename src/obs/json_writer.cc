@@ -1,6 +1,7 @@
 #include "obs/json_writer.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace hfi::obs
@@ -147,6 +148,11 @@ JsonWriter &
 JsonWriter::value(double v, const char *fmt)
 {
     comma();
+    // JSON has no NaN or infinity; printf would spell them nan/inf.
+    if (!std::isfinite(v)) {
+        out_ += "null";
+        return *this;
+    }
     char buf[64];
     std::snprintf(buf, sizeof buf, fmt, v);
     out_ += buf;

@@ -51,7 +51,7 @@ class JsonWriter
     JsonWriter &value(bool v);
     /** @p fmt is a printf double format, e.g. "%.3f" — pick one per
         field and keep it: the format is part of the byte-stability
-        contract. */
+        contract. NaN and infinities are written as null. */
     JsonWriter &value(double v, const char *fmt = "%.3f");
 
     /** key + value in one call. @{ */

@@ -30,7 +30,6 @@ MetricsRegistry::combine(Gauge &g, std::uint64_t v, GaugeMode mode)
             g.value = v;
         break;
       case GaugeMode::Sum: g.value += v; break;
-      case GaugeMode::Last: g.value = v; break;
     }
 }
 

@@ -31,13 +31,15 @@ namespace hfi::obs
 
 class JsonWriter;
 
-/** How two samples of the same gauge combine under merge(). */
+/**
+ * How two samples of the same gauge combine under merge(). Every mode
+ * is commutative and associative, so merge order never shows.
+ */
 enum class GaugeMode : std::uint8_t
 {
     Max = 0,
     Min,
     Sum,
-    Last,
 };
 
 /**

@@ -27,6 +27,11 @@
 
 #include "vm/virtual_clock.h"
 
+namespace hfi::core
+{
+struct HfiRegisterFile;
+}
+
 namespace hfi::sfi
 {
 
@@ -58,6 +63,26 @@ struct AccessCheck
     AccessOutcome outcome = AccessOutcome::Trap;
     /** Offset actually accessed (equals the request unless Wrapped). */
     std::uint64_t offset = 0;
+};
+
+/**
+ * How Sandbox's header-inline access fast path decides an access
+ * without calling the backend, resolved once when the sandbox is built.
+ *
+ * With a null @ref bank the fast path admits exactly the accesses that
+ * lie wholly inside the linear memory (LinearMemory::inBounds) — the Ok
+ * set of the guard-page, bounds-check and mask backends. A non-null
+ * bank is a live HFI register file: the fast path runs the inline hmov
+ * check on explicit region @ref explicitSlot, so it sees every
+ * hfi_set_region and xrstor exactly as checkAccess does. Anything the
+ * fast path does not admit goes to checkAccess, which stays the single
+ * authority on traps and wraps. The bank belongs to the HfiContext the
+ * backend itself holds, so it lives at least as long as the backend.
+ */
+struct FastAccessPath
+{
+    const core::HfiRegisterFile *bank = nullptr;
+    unsigned explicitSlot = 0;
 };
 
 /**
@@ -133,6 +158,13 @@ class IsolationBackend
      * bounds variables) need nothing: the default is free.
      */
     virtual void rebindRegions() {}
+
+    /**
+     * The fast-path descriptor for this backend (see FastAccessPath).
+     * The default suits every backend whose checkAccess returns Ok for
+     * exactly the in-bounds accesses.
+     */
+    virtual FastAccessPath fastAccessPath() const { return {}; }
 
     /** Transition into sandboxed execution; charges transition cost. */
     virtual void enterSandbox() = 0;

@@ -63,6 +63,11 @@ class HfiBackend : public IsolationBackend
     AccessCheck checkAccess(std::uint64_t offset, std::uint32_t width,
                             bool write, const LinearMemory &mem) override;
     void rebindRegions() override;
+    FastAccessPath
+    fastAccessPath() const override
+    {
+        return {&ctx.registerFile(), config_.explicitSlot};
+    }
     void enterSandbox() override;
     void exitSandbox() override;
     SteadyStateCosts steadyStateCosts() const override;

@@ -59,14 +59,24 @@ MaskBackend::checkAccess(std::uint64_t offset, std::uint32_t width,
                          bool write, const LinearMemory &mem)
 {
     (void)write;
-    if (offset + width <= mem.size())
+    if (mem.inBounds(offset, width))
         return {AccessOutcome::Ok, offset};
+    // No accessible byte to wrap into: the masked address can only land
+    // on the reservation's PROT_NONE pages, which fault.
+    if (mem.size() < width)
+        return {AccessOutcome::Trap, offset};
     // No trap: the AND forces the address into the accessible region.
     // We mask to the largest power of two not exceeding the accessible
-    // size so the wrapped access (including its width) always lands on
-    // mapped memory — the silent-corruption behaviour §2 describes.
-    const std::uint64_t eff_mask = std::bit_floor(mem.size()) - 1;
-    return {AccessOutcome::Wrapped, offset & mask_ & eff_mask};
+    // size, then align down to the access width (rounded up to a power
+    // of two), so the wrapped access — all of its bytes — lands inside
+    // that power of two and hence on mapped memory: the silent-
+    // corruption behaviour §2 describes. Without the alignment an access
+    // straddling the power-of-two end (offset 0x1fffc, width 8, on one
+    // page) would run past the accessible size.
+    const std::uint64_t span = std::bit_floor(mem.size());
+    const std::uint64_t align = std::bit_ceil(std::uint64_t{width});
+    return {AccessOutcome::Wrapped,
+            offset & mask_ & (span - 1) & ~(align - 1)};
 }
 
 void

@@ -19,7 +19,8 @@ SandboxTrap::SandboxTrap(std::uint64_t offset, std::uint32_t width,
 
 Sandbox::Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
                  SandboxOptions opts)
-    : backend_(std::move(backend)), mmu_(mmu),
+    : backend_(std::move(backend)), fast_(backend_->fastAccessPath()),
+      mmu_(mmu),
       memory_(opts.initialPages, opts.maxPages), opts(opts)
 {
     valid_ = backend_->create(opts.initialPages, opts.maxPages);
@@ -79,6 +80,8 @@ Sandbox::flushCharge()
     pendingMilli %= 1000;
 }
 
+// The slow path behind fastPathAdmits: every trap, wrap and first touch
+// lands here, so trap reasons, wrap counts and Mmu faults stay exact.
 std::uint64_t
 Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
 {

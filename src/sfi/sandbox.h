@@ -20,6 +20,7 @@
 #include <string>
 #include <vector>
 
+#include "core/checker.h"
 #include "sfi/backend.h"
 #include "sfi/linear_memory.h"
 #include "vm/mmu.h"
@@ -29,8 +30,9 @@ namespace hfi::sfi
 
 /**
  * Thrown when a sandboxed access traps (guard-page SIGSEGV, bounds-check
- * trap stub, or HFI fault). Mask backends never throw — that is their
- * documented defect.
+ * trap stub, or HFI fault). Mask backends wrap instead of throwing —
+ * that is their documented defect — and trap only when the memory has
+ * no byte to wrap into.
  */
 class SandboxTrap : public std::runtime_error
 {
@@ -84,6 +86,15 @@ struct SandboxStats
  * Thin, fast hot path: load/store perform the backend check, charge the
  * cached milli-cycle cost, page in newly touched 4 KiB pages through the
  * Mmu (first touch only), and move real bytes.
+ *
+ * The check is split in two. The header-inline fast path decides the
+ * common case — an access the backend admits unchanged, on a page
+ * already touched — from the FastAccessPath resolved at construction:
+ * one inline hmov check on the live HFI register file, or one overflow-
+ * safe bounds compare, and no call. Everything else (traps, mask wraps,
+ * first touches) takes the out-of-line checkedOffset, which asks the
+ * virtual IsolationBackend::checkAccess. Both paths charge the same
+ * cost, so the split is invisible to the virtual clock.
  */
 class Sandbox
 {
@@ -141,7 +152,10 @@ class Sandbox
     T
     load(std::uint64_t offset)
     {
-        const std::uint64_t at = checkedOffset(offset, sizeof(T), false);
+        const std::uint64_t at = fastPathAdmits(offset, sizeof(T), false)
+                                     ? offset
+                                     : checkedOffset(offset, sizeof(T),
+                                                     false);
         ++stats_.loads;
         chargeMilli(1000 + loadMilli);
         return memory_.load<T>(at);
@@ -152,7 +166,10 @@ class Sandbox
     void
     store(std::uint64_t offset, T value)
     {
-        const std::uint64_t at = checkedOffset(offset, sizeof(T), true);
+        const std::uint64_t at = fastPathAdmits(offset, sizeof(T), true)
+                                     ? offset
+                                     : checkedOffset(offset, sizeof(T),
+                                                     true);
         ++stats_.stores;
         chargeMilli(1000 + storeMilli);
         memory_.store<T>(at, value);
@@ -180,6 +197,27 @@ class Sandbox
     void flushCharge();
 
   private:
+    /**
+     * True when the access proceeds at @p offset with no side effect
+     * beyond the data movement and the charge: the backend admits it
+     * unchanged and its 4 KiB page is already touched.
+     */
+    bool
+    fastPathAdmits(std::uint64_t offset, std::uint32_t width,
+                   bool write) const
+    {
+        core::HmovOperands ops;
+        ops.index = static_cast<std::int64_t>(offset);
+        ops.width = width;
+        const bool ok = fast_.bank
+                            ? core::AccessChecker::checkHmov(
+                                  *fast_.bank, fast_.explicitSlot, ops, write)
+                                  .ok
+                            : memory_.inBounds(offset, width);
+        const std::uint64_t page = offset / vm::kPageSize;
+        return ok && page < touched.size() && touched[page];
+    }
+
     /** Backend check + first-touch paging; returns the final offset. */
     std::uint64_t checkedOffset(std::uint64_t offset, std::uint32_t width,
                                 bool write);
@@ -200,6 +238,7 @@ class Sandbox
     static constexpr std::uint64_t kFlushThresholdMilli = 1'000'000;
 
     std::unique_ptr<IsolationBackend> backend_;
+    FastAccessPath fast_;
     vm::Mmu &mmu_;
     LinearMemory memory_;
     SandboxOptions opts;

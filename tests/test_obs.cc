@@ -2,11 +2,19 @@
  * @file
  * Tests for the observability layer (src/obs/): ring-buffer overflow
  * semantics, byte-identical trace export across the sequential and
- * threaded engine drivers, and the flight recorder's fire-once latch.
+ * threaded engine drivers, the flight recorder's fire-once latch, and
+ * the metrics and JSON primitives every BENCH file is built from.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <cstdint>
+#include <limits>
+
+#include "obs/json_writer.h"
+#include "obs/metrics.h"
 #include "obs/trace.h"
 #include "serve/engine.h"
 
@@ -247,6 +255,130 @@ TEST(FlightRecorder, ManualDumpLatches)
     EXPECT_EQ(trace.flightTriggers(), 2u);
     EXPECT_NE(trace.flightReport().find("queue-push"), std::string::npos);
     EXPECT_NE(trace.flightReport().find("a=42"), std::string::npos);
+}
+
+// ---------------------------------------------------------------------
+// Metrics primitives: histogram bucket edges and merge order.
+// ---------------------------------------------------------------------
+
+TEST(Histogram, BucketEdges)
+{
+    using obs::Histogram;
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    EXPECT_EQ(Histogram::bucketOf(0), 0u);
+    EXPECT_EQ(Histogram::bucketOf(1), 1u);
+    EXPECT_EQ(Histogram::bucketOf(2), 2u);
+    EXPECT_EQ(Histogram::bucketOf(1ULL << 63), 64u);
+    EXPECT_EQ(Histogram::bucketOf((1ULL << 63) - 1), 63u);
+    EXPECT_EQ(Histogram::bucketOf(kMax), 64u);
+    EXPECT_LT(Histogram::bucketOf(kMax), Histogram::kBuckets);
+
+    EXPECT_EQ(Histogram::bucketBound(0), 0u);
+    EXPECT_EQ(Histogram::bucketBound(1), 1u);
+    EXPECT_EQ(Histogram::bucketBound(63), (1ULL << 63) - 1);
+    EXPECT_EQ(Histogram::bucketBound(64), kMax);
+
+    // Each bound is the largest value of its own bucket.
+    for (unsigned i = 0; i < Histogram::kBuckets; ++i) {
+        EXPECT_EQ(Histogram::bucketOf(Histogram::bucketBound(i)), i);
+        if (i < 64) {
+            EXPECT_EQ(Histogram::bucketOf(Histogram::bucketBound(i) + 1),
+                      i + 1);
+        }
+    }
+
+    Histogram h;
+    h.observe(0);
+    h.observe(kMax);
+    EXPECT_EQ(h.buckets[0], 1u);
+    EXPECT_EQ(h.buckets[64], 1u);
+    EXPECT_EQ(h.min, 0u);
+    EXPECT_EQ(h.max, kMax);
+}
+
+TEST(MetricsRegistry, MergeIsOrderIndependent)
+{
+    std::array<obs::MetricsRegistry, 3> parts;
+    for (unsigned i = 0; i < parts.size(); ++i) {
+        obs::MetricsRegistry &r = parts[i];
+        r.counterAdd("requests", 10 * (i + 1));
+        if (i != 1)
+            r.counterAdd("only.some", i + 7);
+        r.gaugeSet("depth.max", 5 + 3 * i, obs::GaugeMode::Max);
+        r.gaugeSet("depth.max", 2, obs::GaugeMode::Max);
+        r.gaugeSet("free.min", 40 - 9 * i, obs::GaugeMode::Min);
+        r.gaugeSet("bytes.sum", 100 + i, obs::GaugeMode::Sum);
+        for (std::uint64_t v = 0; v < 5 + i; ++v)
+            r.histogram("lat").observe(v * v * (i + 1));
+        if (i == 2)
+            r.histogram("rare").observe(1ULL << 40);
+    }
+
+    std::array<unsigned, 3> order = {0, 1, 2};
+    std::string first;
+    do {
+        obs::MetricsRegistry merged;
+        for (unsigned i : order)
+            merged.merge(parts[i]);
+        const std::string json = merged.json();
+        if (first.empty()) {
+            first = json;
+            EXPECT_EQ(merged.counter("requests"), 60u);
+            EXPECT_EQ(merged.counter("only.some"), 7u + 9u);
+            EXPECT_EQ(merged.gauge("depth.max"), 11u);
+            EXPECT_EQ(merged.gauge("free.min"), 22u);
+            EXPECT_EQ(merged.gauge("bytes.sum"), 303u);
+            ASSERT_NE(merged.findHistogram("lat"), nullptr);
+            EXPECT_EQ(merged.findHistogram("lat")->count, 5u + 6u + 7u);
+        } else {
+            EXPECT_EQ(json, first);
+        }
+    } while (std::next_permutation(order.begin(), order.end()));
+
+    // Associativity: (a+b)+c == a+(b+c).
+    obs::MetricsRegistry bc;
+    bc.merge(parts[1]);
+    bc.merge(parts[2]);
+    obs::MetricsRegistry a_bc;
+    a_bc.merge(parts[0]);
+    a_bc.merge(bc);
+    EXPECT_EQ(a_bc.json(), first);
+}
+
+// ---------------------------------------------------------------------
+// JsonWriter: escaping and number formatting.
+// ---------------------------------------------------------------------
+
+TEST(JsonWriter, EscapesStringsAndKeys)
+{
+    obs::JsonWriter w(0);
+    w.beginObject();
+    w.field("quote\"back\\slash", "a\"b\\c");
+    w.field("ws", "line\nfeed\ttab\rret");
+    w.field("ctl", std::string("x\x01y\x1fz"));
+    w.field("utf8", "caf\xc3\xa9");
+    w.endObject();
+    EXPECT_EQ(w.str(),
+              "{\"quote\\\"back\\\\slash\":\"a\\\"b\\\\c\","
+              "\"ws\":\"line\\nfeed\\ttab\\rret\","
+              "\"ctl\":\"x\\u0001y\\u001fz\","
+              "\"utf8\":\"caf\xc3\xa9\"}");
+}
+
+TEST(JsonWriter, NumbersAndNonFiniteDoubles)
+{
+    obs::JsonWriter w(0);
+    w.beginArray();
+    w.value(std::numeric_limits<std::uint64_t>::max());
+    w.value(std::numeric_limits<std::int64_t>::min());
+    w.value(1.5, "%.2f");
+    w.value(std::numeric_limits<double>::quiet_NaN());
+    w.value(std::numeric_limits<double>::infinity());
+    w.value(-std::numeric_limits<double>::infinity(), "%.1f");
+    w.value(true);
+    w.endArray();
+    EXPECT_EQ(w.str(), "[18446744073709551615,-9223372036854775808,"
+                       "1.50,null,null,null,true]");
 }
 
 } // namespace

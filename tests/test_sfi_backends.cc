@@ -7,7 +7,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <memory>
+#include <vector>
 
 #include "sfi/bounds_check_backend.h"
 #include "sfi/guard_page_backend.h"
@@ -74,6 +77,27 @@ TEST_P(TrappingBackendTest, InBoundsPassesOutOfBoundsTraps)
     // Far out of bounds.
     EXPECT_EQ(backend->checkAccess(1ULL << 33, 8, true, mem).outcome,
               AccessOutcome::Trap);
+}
+
+TEST_P(TrappingBackendTest, OffsetsNearTwoTo64TrapInsteadOfWrapping)
+{
+    // offset + width wraps past 2^64 for these offsets; a compare on the
+    // sum would admit them and the Sandbox would then read ~2^64 bytes
+    // past the linear memory.
+    auto backend = make(GetParam());
+    ASSERT_TRUE(backend->create(1, 16));
+    LinearMemory mem(1, 16);
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint32_t width : {1u, 2u, 4u, 8u}) {
+        for (std::uint64_t offset : {kMax - 3, kMax - width + 1, kMax}) {
+            for (bool write : {false, true}) {
+                EXPECT_EQ(backend->checkAccess(offset, width, write, mem)
+                              .outcome,
+                          AccessOutcome::Trap)
+                    << "offset=" << offset << " width=" << width;
+            }
+        }
+    }
 }
 
 TEST_P(TrappingBackendTest, GrowExtendsTheAccessibleRange)
@@ -185,6 +209,56 @@ TEST_F(BackendTest, MaskWrapsInsteadOfTrapping)
         backend.checkAccess(4 * kWasmPageSize + 100, 8, true, mem);
     EXPECT_EQ(wrapped.outcome, AccessOutcome::Wrapped);
     EXPECT_LT(wrapped.offset + 8, mem.size());
+}
+
+TEST_F(BackendTest, MaskWrapsStayWhollyInsideTheMemory)
+{
+    // Every wrapped access, all of its bytes, must land inside the
+    // accessible size: 0x1fffc + 8 on a one-page memory used to wrap to
+    // 0xfffc and run 4 bytes past the end of the backing store.
+    constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+    for (std::uint64_t pages : {1ULL, 3ULL}) {
+        MaskBackend backend(mmu);
+        ASSERT_TRUE(backend.create(pages, 16));
+        LinearMemory mem(pages, 16);
+        const std::uint64_t size = mem.size();
+        std::uint64_t wrapped_seen = 0;
+        for (std::uint32_t width : {1u, 2u, 4u, 8u}) {
+            std::vector<std::uint64_t> offsets = {
+                kMax - width + 1, kMax - 3, kMax, 1ULL << 32, 1ULL << 33,
+                0x1fffc, 0x1fffd, 0x1ffff};
+            for (std::uint64_t base :
+                 std::vector<std::uint64_t>{size, 2 * size, 1ULL << 16,
+                                            1ULL << 17, 1ULL << 18})
+                for (std::uint64_t d = 0; d < 16; ++d)
+                    offsets.push_back(base - 8 + d);
+            for (std::uint64_t offset : offsets) {
+                const AccessCheck check =
+                    backend.checkAccess(offset, width, true, mem);
+                ASSERT_NE(check.outcome, AccessOutcome::Trap);
+                if (check.outcome == AccessOutcome::Ok) {
+                    EXPECT_EQ(check.offset, offset);
+                    EXPECT_TRUE(mem.inBounds(offset, width));
+                    continue;
+                }
+                ++wrapped_seen;
+                EXPECT_TRUE(mem.inBounds(check.offset, width))
+                    << "pages=" << pages << " offset=0x" << std::hex
+                    << offset << " width=" << std::dec << width
+                    << " wrapped to 0x" << std::hex << check.offset;
+            }
+        }
+        EXPECT_GT(wrapped_seen, 0u);
+    }
+}
+
+TEST_F(BackendTest, MaskTrapsOnlyWhenThereIsNothingToWrapInto)
+{
+    MaskBackend backend(mmu);
+    ASSERT_TRUE(backend.create(0, 16));
+    LinearMemory mem(0, 16);
+    EXPECT_EQ(backend.checkAccess(0, 1, false, mem).outcome,
+              AccessOutcome::Trap);
 }
 
 TEST_F(BackendTest, SteadyStateCostTables)

@@ -6,6 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "sfi/hfi_backend.h"
 #include "sfi/runtime.h"
 #include "sfi/sandbox.h"
 
@@ -65,6 +72,199 @@ INSTANTIATE_TEST_SUITE_P(Kinds, SandboxAllBackends,
                                            BackendKind::BoundsCheck,
                                            BackendKind::Mask,
                                            BackendKind::Hfi));
+
+/**
+ * Differential check of Sandbox::load/store (inline fast path + out-of-
+ * line slow path) against the virtual checkAccess oracle.
+ *
+ * Two identical worlds replay the same accesses. In the first, every
+ * access goes through Sandbox::load/store. In the second, a reference
+ * built only from the public surface — backend().checkAccess, a first-
+ * touch Mmu access per 4 KiB page, the backend's cost table — performs
+ * it. After each access both worlds flush their sub-cycle charge and
+ * must agree on value or trap, trap reason, wrap count, Mmu page faults
+ * and the clock.
+ */
+class SandboxOracleTest
+    : public ::testing::TestWithParam<BackendKind>
+{
+  protected:
+    static constexpr unsigned kIcacheSensitivity = 37;
+
+    struct World
+    {
+        explicit World(BackendKind kind)
+        {
+            config.backend = kind;
+            sandbox = create();
+        }
+
+        std::unique_ptr<Sandbox>
+        create()
+        {
+            Runtime runtime(mmu, ctx, config);
+            return runtime.createSandbox({1, 8, kIcacheSensitivity});
+        }
+
+        vm::VirtualClock clock;
+        vm::Mmu mmu{clock};
+        core::HfiContext ctx{clock};
+        RuntimeConfig config;
+        std::unique_ptr<Sandbox> sandbox;
+    };
+
+    /** The reference's own state in the oracle world. */
+    struct Reference
+    {
+        std::set<std::uint64_t> touched;
+        std::uint64_t pendingMilli = 0;
+        std::uint64_t wrapped = 0;
+    };
+
+    SandboxOracleTest() : fast(GetParam()), oracle(GetParam()) {}
+
+    core::ExitReason
+    lastTrapReason(World &w) const
+    {
+        if (GetParam() != BackendKind::Hfi)
+            return core::ExitReason::None;
+        return static_cast<HfiBackend &>(w.sandbox->backend())
+            .lastTrapReason();
+    }
+
+    /** Oracle access; returns false on a trap, else the value moved. */
+    template <typename T>
+    bool
+    referenceAccess(std::uint64_t offset, bool write, T value, T *out)
+    {
+        Sandbox &s = *oracle.sandbox;
+        const AccessCheck check =
+            s.backend().checkAccess(offset, sizeof(T), write, s.memory());
+        if (check.outcome == AccessOutcome::Trap)
+            return false;
+        if (check.outcome == AccessOutcome::Wrapped)
+            ++ref.wrapped;
+        const std::uint64_t page = check.offset / vm::kPageSize;
+        if (page < s.memory().maxPages() * (kWasmPageSize / vm::kPageSize) &&
+            ref.touched.insert(page).second)
+            oracle.mmu.access(s.backend().baseAddress() + check.offset,
+                              sizeof(T), write);
+        const SteadyStateCosts c = s.backend().steadyStateCosts();
+        ref.pendingMilli += 1000 + c.icacheMilliPerAccess * kIcacheSensitivity +
+                            c.opPressureMilli +
+                            (write ? c.storeExtraMilli : c.loadExtraMilli);
+        oracle.clock.tick(ref.pendingMilli / 1000);
+        ref.pendingMilli %= 1000;
+        if (write)
+            s.memory().store<T>(check.offset, value);
+        else
+            *out = s.memory().load<T>(check.offset);
+        return true;
+    }
+
+    template <typename T>
+    void
+    compareAccess(std::uint64_t offset, bool write, const std::string &phase)
+    {
+        const T value = static_cast<T>(offset * 0x9e3779b97f4a7c15ULL +
+                                       ++serial);
+        T want = 0;
+        const bool want_ok = referenceAccess<T>(offset, write, value, &want);
+
+        T got = 0;
+        bool got_ok = true;
+        try {
+            if (write)
+                fast.sandbox->store<T>(offset, value);
+            else
+                got = fast.sandbox->load<T>(offset);
+        } catch (const SandboxTrap &) {
+            got_ok = false;
+        }
+        fast.sandbox->flushCharge();
+
+        SCOPED_TRACE(phase + ": " + (write ? "store" : "load") + " width " +
+                     std::to_string(sizeof(T)) + " at offset " +
+                     std::to_string(offset));
+        ASSERT_EQ(got_ok, want_ok);
+        EXPECT_EQ(got, want);
+        EXPECT_EQ(lastTrapReason(fast), lastTrapReason(oracle));
+        EXPECT_EQ(fast.sandbox->stats().wrappedAccesses, ref.wrapped);
+        EXPECT_EQ(fast.mmu.stats().pageFaults, oracle.mmu.stats().pageFaults);
+        EXPECT_EQ(fast.clock.now(), oracle.clock.now());
+    }
+
+    template <typename T>
+    void
+    sweepWidth(const std::string &phase)
+    {
+        constexpr std::uint64_t w = sizeof(T);
+        const std::uint64_t size = fast.sandbox->memory().size();
+        const std::vector<std::uint64_t> offsets = {
+            0, vm::kPageSize + 3, size - w, size - w + 1, size,
+            1ULL << 32, 1ULL << 33,
+            std::numeric_limits<std::uint64_t>::max() - w + 1};
+        // Twice: the first pass takes first touches on the slow path,
+        // the second finds the pages touched and runs on the fast path.
+        for (int pass = 0; pass < 2; ++pass)
+            for (std::uint64_t offset : offsets)
+                for (bool write : {true, false})
+                    compareAccess<T>(offset, write, phase);
+    }
+
+    void
+    sweep(const std::string &phase)
+    {
+        sweepWidth<std::uint8_t>(phase);
+        sweepWidth<std::uint16_t>(phase);
+        sweepWidth<std::uint32_t>(phase);
+        sweepWidth<std::uint64_t>(phase);
+    }
+
+    World fast;
+    World oracle;
+    Reference ref;
+    std::uint64_t serial = 0;
+};
+
+TEST_P(SandboxOracleTest, FastPathMatchesCheckAccessOracle)
+{
+    ASSERT_TRUE(fast.sandbox && oracle.sandbox);
+    sweep("initial");
+
+    ASSERT_EQ(fast.sandbox->memoryGrow(1), 1);
+    ASSERT_EQ(oracle.sandbox->memoryGrow(1), 1);
+    sweep("after memoryGrow");
+
+    // A second sandbox on the same HfiContext reprograms explicit slot 0
+    // with its own one-page region (under HFI the first sandbox's
+    // accesses are now checked against it), then clears it on
+    // destruction. The other backends must not notice.
+    auto fast_other = fast.create();
+    auto oracle_other = oracle.create();
+    ASSERT_TRUE(fast_other && oracle_other);
+    sweep("slot reprogrammed by another sandbox");
+    fast_other.reset();
+    oracle_other.reset();
+    sweep("slot cleared by another sandbox");
+}
+
+INSTANTIATE_TEST_SUITE_P(Kinds, SandboxOracleTest,
+                         ::testing::Values(BackendKind::GuardPages,
+                                           BackendKind::BoundsCheck,
+                                           BackendKind::Mask,
+                                           BackendKind::Hfi),
+                         [](const auto &info) {
+                             switch (info.param) {
+                               case BackendKind::GuardPages:
+                                 return "GuardPages";
+                               case BackendKind::BoundsCheck:
+                                 return "BoundsCheck";
+                               case BackendKind::Mask: return "Mask";
+                               case BackendKind::Hfi: return "Hfi";
+                             }
+                             return "Unknown";
+                         });
 
 TEST_F(SandboxTest, OutOfBoundsLoadThrows)
 {
