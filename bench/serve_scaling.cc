@@ -18,9 +18,12 @@
  *     compute (Swivel's worst case).
  *
  * Everything runs on seeded virtual clocks: output is bit-for-bit
- * reproducible across invocations.
+ * reproducible across invocations. Each table row's host wall time and
+ * requests per host-second go to stderr, so stdout stays byte-identical
+ * (CI diffs it against bench/expected/serve_scaling.txt).
  */
 
+#include <chrono>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -45,6 +48,29 @@ handlerWithOps(std::uint64_t ops)
         s.chargeOps(ops);
     };
 }
+
+/** Host wall time of one table row, reported on stderr. */
+class RowTimer
+{
+  public:
+    RowTimer() : start_(std::chrono::steady_clock::now()) {}
+
+    /** Report the row @p label that ran @p requests engine requests. */
+    void
+    report(const char *table, const char *label, unsigned long long key,
+           unsigned long long requests) const
+    {
+        const double s = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - start_)
+                             .count();
+        std::fprintf(stderr,
+                     "  host %-20s %-7s %7llu %8.4f s %9.0f req/host-s\n",
+                     table, label, key, s, static_cast<double>(requests) / s);
+    }
+
+  private:
+    std::chrono::steady_clock::time_point start_;
+};
 
 EngineConfig
 baseConfig(unsigned workers, Scheme scheme)
@@ -75,9 +101,10 @@ sweepScheme(Scheme scheme, std::uint64_t ops)
                 "p99.9 us", "speedup");
     double base_thru = 0;
     for (unsigned workers : {1u, 2u, 4u, 8u, 16u}) {
-        const auto res =
-            ServeEngine(baseConfig(workers, scheme), handlerWithOps(ops))
-                .run();
+        const RowTimer timer;
+        const auto cfg = baseConfig(workers, scheme);
+        const auto res = ServeEngine(cfg, handlerWithOps(ops)).run();
+        timer.report(schemeName(scheme), "cores", workers, cfg.requests);
         if (workers == 1)
             base_thru = res.throughputRps;
         std::printf(
@@ -97,6 +124,8 @@ crossoverAtEightCores()
     std::printf("  %9s %14s %14s %14s %11s\n", "ops/req", "HFI p99 us",
                 "soe p99 us", "Swivel p99 us", "HFI wins?");
     for (std::uint64_t ops : {2'000ULL, 20'000ULL, 200'000ULL}) {
+        const RowTimer timer;
+        unsigned long long requests = 0;
         double p99[3];
         int i = 0;
         for (Scheme s : {Scheme::HfiNative, Scheme::HfiSwitchOnExit,
@@ -109,7 +138,9 @@ crossoverAtEightCores()
             const auto res =
                 ServeEngine(cfg, handlerWithOps(ops)).run();
             p99[i++] = res.latency.p99;
+            requests += cfg.requests;
         }
+        timer.report("crossover (8 cores)", "ops/req", ops, requests);
         std::printf("  %9llu %14.1f %14.1f %14.1f %11s\n",
                     static_cast<unsigned long long>(ops), p99[0] / 1e3,
                     p99[1] / 1e3, p99[2] / 1e3,
@@ -129,8 +160,10 @@ admissionControlDemo()
         auto cfg = baseConfig(4, Scheme::HfiNative);
         cfg.meanInterarrivalNs = 10'000.0; // ~2x a 4-core capacity
         cfg.queueCapacity = cap;
+        const RowTimer timer;
         const auto res =
             ServeEngine(cfg, handlerWithOps(250'000)).run();
+        timer.report("admission (4 cores)", "cap", cap, cfg.requests);
         std::printf("  %9zu %7zu %6zu %9.0f %9.1f %9zu\n", cap,
                     res.served, res.shed, res.throughputRps,
                     res.latency.p99 / 1e3, res.maxQueueDepth);

@@ -1,6 +1,7 @@
 #include "serve/engine.h"
 
 #include <algorithm>
+#include <stdexcept>
 #include <thread>
 
 #include "serve/shard_queue.h"
@@ -8,9 +9,24 @@
 namespace hfi::serve
 {
 
+/**
+ * Reject configurations drive() cannot run: it shards arrivals modulo
+ * the worker count, and indexes the trace by core.
+ */
+static void
+validate(const EngineConfig &config)
+{
+    if (config.workers == 0)
+        throw std::invalid_argument("EngineConfig: workers must be >= 1");
+    if (config.trace && config.trace->cores() < config.workers)
+        throw std::invalid_argument(
+            "EngineConfig: trace has fewer cores than workers");
+}
+
 ServeEngine::ServeEngine(EngineConfig config, Handler handler)
     : config_(std::move(config)), handler_(std::move(handler))
 {
+    validate(config_);
 }
 
 /**
@@ -135,6 +151,7 @@ ServeResult
 ServeEngine::runResident(const EngineConfig &config, core::HfiContext &ctx,
                          sfi::Sandbox &sandbox, const Handler &handler)
 {
+    validate(config);
     const double start = ctx.clock().nowNs();
     std::vector<std::unique_ptr<Worker>> workers;
     workers.push_back(std::make_unique<Worker>(0, config.worker, handler,
@@ -171,27 +188,19 @@ ServeEngine::drive(std::vector<std::unique_ptr<Worker>> &workers,
 
     std::optional<Request> staged = source.next();
 
+    // Each core's next-free time, refreshed only for the core that
+    // served: the event loop's whole per-core state in one flat array.
+    std::vector<double> freeNs(n);
+    for (unsigned w = 0; w < n; ++w)
+        freeNs[w] = workers[w]->freeNs();
+
     while (true) {
         // The earliest possible service start across all cores: each
         // worker considers its own shard first, then (work stealing)
-        // the deepest other shard. Ties break to the lowest core index,
-        // so the schedule is a pure function of the configuration.
-        int bestWorker = -1;
-        int bestShard = -1;
-        double bestStart = 0;
-        for (unsigned w = 0; w < n; ++w) {
-            const int shard = queues.pickFor(w, config.workStealing);
-            if (shard < 0)
-                continue;
-            const double start = std::max(
-                workers[w]->freeNs(),
-                queues.front(static_cast<unsigned>(shard)).arrivalNs);
-            if (bestWorker < 0 || start < bestStart) {
-                bestWorker = static_cast<int>(w);
-                bestShard = shard;
-                bestStart = start;
-            }
-        }
+        // the deepest shard. Ties break to the lowest core index, so
+        // the schedule is a pure function of the configuration.
+        const auto [bestWorker, bestShard, bestStart] =
+            queues.pickStep(freeNs, config.workStealing);
 
         // Admit any arrival that happens strictly before that start
         // (at an exact tie the server dequeues first, so an arrival at
@@ -224,6 +233,8 @@ ServeEngine::drive(std::vector<std::unique_ptr<Worker>> &workers,
                                  bestStart, req.id,
                                  workers[bestShard]->index()));
         const auto outcome = workers[bestWorker]->serve(req);
+        freeNs[static_cast<unsigned>(bestWorker)] =
+            workers[bestWorker]->freeNs();
         // A request that exhausted its retries still produced an error
         // response, so a closed-loop client unblocks either way.
         if (outcome.ok || outcome.failed)

@@ -52,7 +52,7 @@ enum class Sharding
 
 struct EngineConfig
 {
-    unsigned workers = 1;
+    unsigned workers = 1; ///< simulated cores, >= 1
     LoadMode mode = LoadMode::OpenLoop;
 
     /** Total requests to generate. */
@@ -98,8 +98,9 @@ struct EngineConfig
 
     /**
      * Caller-owned event trace (nullptr = tracing off). Must be built
-     * with cores() >= workers; each worker records into the ring of its
-     * core index (single-writer even in realThreads mode), the queue
+     * with cores() >= workers (the engine throws std::invalid_argument
+     * otherwise); each worker records into the ring of its core index
+     * (single-writer even in realThreads mode), the queue
      * shards record admissions into their owning core's ring, and the
      * HfiContext/Scheduler of every core are wired to the same ring.
      * Ignored when HFI_OBS=OFF compiled the record sites away.
@@ -163,6 +164,8 @@ struct ServeResult
 class ServeEngine
 {
   public:
+    /** @throws std::invalid_argument when @p config.workers is 0 or
+        @p config.trace has fewer cores than workers. */
     ServeEngine(EngineConfig config, Handler handler);
 
     /** Run with owned per-core stacks (the normal configuration). */
@@ -171,7 +174,7 @@ class ServeEngine
     /**
      * Single-worker run on the caller's clock/context with a resident
      * caller-owned sandbox — the faas::runClosedLoop compatibility
-     * path.
+     * path. Validates @p config like the constructor.
      */
     static ServeResult runResident(const EngineConfig &config,
                                    core::HfiContext &ctx,

@@ -71,6 +71,7 @@ class ShardedQueues
      * The shard worker @p worker should serve from next: its own shard
      * if non-empty, otherwise (with @p steal) the deepest other shard,
      * ties to the lowest index. @return -1 when every queue is empty.
+     * The per-core reference for pickStep().
      */
     int
     pickFor(unsigned worker, bool steal) const
@@ -92,6 +93,60 @@ class ShardedQueues
         return best;
     }
 
+    /** One event-loop step's service decision (worker -1: nothing queued). */
+    struct StepPick
+    {
+        int worker = -1;
+        int shard = -1;
+        double startNs = 0;
+    };
+
+    /**
+     * The earliest service start across all cores, core w free at
+     * @p freeNs[w] (one entry per shard): each core takes pickFor(w,
+     * steal)'s shard at max(freeNs[w], front arrival), ties to the
+     * lowest core. O(shards): a core whose own shard is empty always
+     * steals from the same victim — the deepest shard overall, ties to
+     * the lowest index, since its own depth 0 never beats pickFor's
+     * strict `>` — so the victim is found once, not once per core.
+     */
+    StepPick
+    pickStep(const std::vector<double> &freeNs, bool steal) const
+    {
+        int victim = -1;
+        double victimArrival = 0;
+        if (steal) {
+            std::size_t bestDepth = 0;
+            for (unsigned s = 0; s < queues.size(); ++s) {
+                if (queues[s].size() > bestDepth) {
+                    bestDepth = queues[s].size();
+                    victim = static_cast<int>(s);
+                }
+            }
+            if (victim >= 0)
+                victimArrival =
+                    queues[static_cast<unsigned>(victim)].front().arrivalNs;
+        }
+        StepPick pick;
+        for (unsigned w = 0; w < queues.size(); ++w) {
+            int shard = victim;
+            double arrival = victimArrival;
+            if (!queues[w].empty()) {
+                shard = static_cast<int>(w);
+                arrival = queues[w].front().arrivalNs;
+            } else if (victim < 0) {
+                continue;
+            }
+            const double start = std::max(freeNs[w], arrival);
+            if (pick.worker < 0 || start < pick.startNs) {
+                pick.worker = static_cast<int>(w);
+                pick.shard = shard;
+                pick.startNs = start;
+            }
+        }
+        return pick;
+    }
+
     const Request &front(unsigned shard) const { return queues[shard].front(); }
 
     Request
@@ -100,15 +155,6 @@ class ShardedQueues
         Request req = queues[shard].front();
         queues[shard].pop_front();
         return req;
-    }
-
-    bool
-    empty() const
-    {
-        for (const auto &q : queues)
-            if (!q.empty())
-                return false;
-        return true;
     }
 
     std::size_t size(unsigned shard) const { return queues[shard].size(); }
