@@ -36,7 +36,7 @@ Sandbox::Sandbox(std::unique_ptr<IsolationBackend> backend, vm::Mmu &mmu,
     storeMilli = costs.storeExtraMilli + icache + costs.opPressureMilli;
     opMilli = costs.opPressureMilli;
 
-    touched.resize(opts.maxPages * (kWasmPageSize / vm::kPageSize), false);
+    touched.resize(memory_.size() / vm::kPageSize);
 }
 
 Sandbox::~Sandbox()
@@ -70,6 +70,7 @@ Sandbox::memoryGrow(std::uint64_t delta_pages)
     if (prev < 0)
         return -1;
     backend_->grow(old_pages, memory_.pages());
+    touched.resize(memory_.size() / vm::kPageSize);
     return prev;
 }
 
@@ -87,7 +88,11 @@ Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
 {
     const AccessCheck check =
         backend_->checkAccess(offset, width, write, memory_);
-    if (check.outcome == AccessOutcome::Trap)
+    // An HFI slot reprogrammed by another sandbox with a larger region
+    // admits offsets past this memory; trap rather than run off the
+    // backing store.
+    if (check.outcome == AccessOutcome::Trap ||
+        !memory_.inBounds(check.offset, width))
         throw SandboxTrap(offset, width, write);
     if (check.outcome == AccessOutcome::Wrapped)
         ++stats_.wrappedAccesses;
@@ -95,8 +100,8 @@ Sandbox::checkedOffset(std::uint64_t offset, std::uint32_t width, bool write)
     // First touch of a 4 KiB page takes a minor fault through the Mmu
     // (allocation + page-table fill); later accesses are free.
     const std::uint64_t page = check.offset / vm::kPageSize;
-    if (page < touched.size() && !touched[page]) {
-        touched[page] = true;
+    if (!touched[page]) {
+        touched[page] = 1;
         // Access the backing virtual address so the Mmu charges the
         // fault and marks residency for the teardown experiments.
         mmu_.access(backend_->baseAddress() + check.offset, width, write);

@@ -200,7 +200,10 @@ class Sandbox
     /**
      * True when the access proceeds at @p offset with no side effect
      * beyond the data movement and the charge: the backend admits it
-     * unchanged and its 4 KiB page is already touched.
+     * unchanged, it ends inside the linear memory, and its 4 KiB page
+     * is already touched. The last-byte test matters only under HFI,
+     * where another sandbox may have programmed a larger region into
+     * this one's slot; such accesses go to checkedOffset and trap.
      */
     bool
     fastPathAdmits(std::uint64_t offset, std::uint32_t width,
@@ -214,8 +217,8 @@ class Sandbox
                                   *fast_.bank, fast_.explicitSlot, ops, write)
                                   .ok
                             : memory_.inBounds(offset, width);
-        const std::uint64_t page = offset / vm::kPageSize;
-        return ok && page < touched.size() && touched[page];
+        return ok && (offset + width - 1) / vm::kPageSize < touched.size() &&
+               touched[offset / vm::kPageSize];
     }
 
     /** Backend check + first-touch paging; returns the final offset. */
@@ -250,8 +253,13 @@ class Sandbox
     std::uint64_t opMilli = 0;
 
     std::uint64_t pendingMilli = 0;
-    /** First-touch tracking per 4 KiB page of the linear memory. */
-    std::vector<bool> touched;
+    /**
+     * First-touch flag per 4 KiB page of the accessible linear memory
+     * (one byte each, grown with it). Separate from the Mmu's resident
+     * set on purpose: Runtime::reclaim discards residency but a warm
+     * instance's pages stay touched here, so they take no new fault.
+     */
+    std::vector<std::uint8_t> touched;
 
     SandboxStats stats_;
 };

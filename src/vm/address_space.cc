@@ -5,6 +5,32 @@
 namespace hfi::vm
 {
 
+namespace
+{
+
+/** First range of @p ranges starting above @p addr. */
+template <typename Ranges>
+auto
+firstAbove(Ranges &ranges, VAddr addr)
+{
+    return std::upper_bound(
+        ranges.begin(), ranges.end(), addr,
+        [](VAddr a, const auto &range) { return a < range.start; });
+}
+
+/** The range of @p ranges starting exactly at @p addr, or end(). */
+template <typename Ranges>
+auto
+findExact(Ranges &ranges, VAddr addr)
+{
+    auto it = std::lower_bound(
+        ranges.begin(), ranges.end(), addr,
+        [](const auto &range, VAddr a) { return range.start < a; });
+    return it != ranges.end() && it->start == addr ? it : ranges.end();
+}
+
+} // namespace
+
 AddressSpace::AddressSpace(unsigned va_bits)
     : bits(va_bits),
       base(1ULL << 20),
@@ -20,16 +46,19 @@ AddressSpace::reserve(std::uint64_t size, std::uint64_t align)
     size = alignUp(size, kPageSize);
 
     VAddr candidate = alignUp(base, align);
+    Range *at = ranges.end();
     if (!hasHoles) {
         // Fast path: nothing was ever released below the high-water
         // mark, so first fit is the bump allocator.
         candidate = alignUp(std::max(base, highWater), align);
     } else {
-        for (const auto &[start, len] : ranges) {
-            if (candidate + size <= start)
+        for (Range *r = ranges.begin(); r != ranges.end(); ++r) {
+            if (candidate + size <= r->start) {
+                at = r;
                 break;
-            if (start + len > candidate)
-                candidate = alignUp(start + len, align);
+            }
+            if (r->start + r->size > candidate)
+                candidate = alignUp(r->start + r->size, align);
         }
         if (candidate >= highWater)
             hasHoles = false; // the scan found no usable hole
@@ -37,7 +66,7 @@ AddressSpace::reserve(std::uint64_t size, std::uint64_t align)
     if (candidate + size > limit || candidate + size < candidate)
         return std::nullopt;
 
-    ranges.emplace(candidate, size);
+    ranges.insert(at, Range{candidate, size});
     reserved_ += size;
     highWater = std::max(highWater, candidate + size);
     return candidate;
@@ -52,17 +81,17 @@ AddressSpace::reserveFixed(VAddr addr, std::uint64_t size)
     if (addr < base || addr + size > limit || addr + size < addr)
         return false;
 
-    // Find the first range ending after addr and check for overlap.
-    auto it = ranges.upper_bound(addr);
+    // Find the first range starting after addr and check for overlap.
+    Range *it = firstAbove(ranges, addr);
     if (it != ranges.begin()) {
-        auto prev = std::prev(it);
-        if (prev->first + prev->second > addr)
+        const Range &prev = it[-1];
+        if (prev.start + prev.size > addr)
             return false;
     }
-    if (it != ranges.end() && it->first < addr + size)
+    if (it != ranges.end() && it->start < addr + size)
         return false;
 
-    ranges.emplace(addr, size);
+    ranges.insert(it, Range{addr, size});
     reserved_ += size;
     highWater = std::max(highWater, addr + size);
     // A fixed mapping below other reservations does not open holes, but
@@ -75,11 +104,11 @@ AddressSpace::reserveFixed(VAddr addr, std::uint64_t size)
 bool
 AddressSpace::release(VAddr addr)
 {
-    auto it = ranges.find(addr);
+    Range *it = findExact(ranges, addr);
     if (it == ranges.end())
         return false;
-    reserved_ -= it->second;
-    ranges.erase(it);
+    reserved_ -= it->size;
+    ranges.erase(it, it + 1);
     hasHoles = true;
     return true;
 }
@@ -87,20 +116,20 @@ AddressSpace::release(VAddr addr)
 std::optional<std::uint64_t>
 AddressSpace::rangeAt(VAddr base) const
 {
-    auto it = ranges.find(base);
+    const Range *it = findExact(ranges, base);
     if (it == ranges.end())
         return std::nullopt;
-    return it->second;
+    return it->size;
 }
 
 bool
 AddressSpace::isReserved(VAddr addr) const
 {
-    auto it = ranges.upper_bound(addr);
+    const Range *it = firstAbove(ranges, addr);
     if (it == ranges.begin())
         return false;
-    auto prev = std::prev(it);
-    return addr >= prev->first && addr < prev->first + prev->second;
+    const Range &prev = it[-1];
+    return addr >= prev.start && addr < prev.start + prev.size;
 }
 
 } // namespace hfi::vm

@@ -13,8 +13,9 @@
 #define HFI_VM_ADDRESS_SPACE_H
 
 #include <cstdint>
-#include <map>
 #include <optional>
+
+#include "vm/flat_seq.h"
 
 namespace hfi::vm
 {
@@ -42,9 +43,10 @@ alignUp(std::uint64_t v, std::uint64_t align)
 /**
  * Tracks virtual-memory reservations within a process address space.
  *
- * Reservations are kept in an ordered map keyed by start address, exactly
- * one entry per disjoint reserved range. Allocation uses a first-fit
- * search from the bottom of the usable range.
+ * Reservations are kept sorted by start address in one flat array,
+ * exactly one entry per disjoint reserved range; lookups binary-search
+ * it. Allocation uses a first-fit search from the bottom of the usable
+ * range, which appends in O(1) until a release opens a hole.
  */
 class AddressSpace
 {
@@ -102,8 +104,14 @@ class AddressSpace
     VAddr base;  ///< lowest usable address
     VAddr limit; ///< one past the highest usable address
 
-    /** start -> size of each reservation. */
-    std::map<VAddr, std::uint64_t> ranges;
+    struct Range
+    {
+        VAddr start;
+        std::uint64_t size;
+    };
+
+    /** Reservations sorted by start; ranges are disjoint. */
+    FlatSeq<Range> ranges;
     std::uint64_t reserved_ = 0;
     /** One past the highest reservation ever made. */
     VAddr highWater = 0;

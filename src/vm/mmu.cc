@@ -98,10 +98,9 @@ Mmu::access(VAddr addr, std::uint64_t size, bool write)
             return AccessResult::NotMapped;
         if (write ? !protWritable(prot) : !protReadable(prot))
             return AccessResult::BadPermission;
-        if (!table.isResident(probe)) {
+        if (table.touch(probe)) {
             ++stats_.pageFaults;
             charge(params_.pageFaultNs);
-            table.touch(probe);
         }
         if (addr / kPageSize == (addr + size - 1) / kPageSize)
             break;
@@ -117,10 +116,9 @@ Mmu::fetch(VAddr addr)
         return AccessResult::NotMapped;
     if (!protExecutable(prot))
         return AccessResult::BadPermission;
-    if (!table.isResident(addr)) {
+    if (table.touch(addr)) {
         ++stats_.pageFaults;
         charge(params_.pageFaultNs);
-        table.touch(addr);
     }
     return AccessResult::Ok;
 }

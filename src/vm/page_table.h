@@ -8,16 +8,17 @@
  * workloads only touch a small fraction of the reserved space — exactly
  * the situation §2 of the paper describes. madvise(MADV_DONTNEED), the
  * operation HFI-Wasmtime batches in §5.1/§6.3.1, discards residency.
+ * Both live in sorted flat arrays (FlatSeq): lookups binary-search, and
+ * a range operation moves each overlapping run with one bulk erase.
  */
 
 #ifndef HFI_VM_PAGE_TABLE_H
 #define HFI_VM_PAGE_TABLE_H
 
 #include <cstdint>
-#include <map>
-#include <set>
 
 #include "vm/address_space.h"
+#include "vm/flat_seq.h"
 
 namespace hfi::vm
 {
@@ -69,7 +70,11 @@ class PageTable
     /** Unmap [addr, addr+size); also drops residency in the range. */
     void unmap(VAddr addr, std::uint64_t size);
 
-    /** Change protection over [addr, addr+size) where mapped. */
+    /**
+     * Change protection over [addr, addr+size) where mapped; holes in
+     * the range stay unmapped. Each contiguous mapped run inside the
+     * range becomes one VMA; VMAs straddling its ends are split.
+     */
     void protect(VAddr addr, std::uint64_t size, PageProt prot);
 
     /**
@@ -90,8 +95,11 @@ class PageTable
     /** True if the page containing @p addr is resident. */
     bool isResident(VAddr addr) const;
 
-    /** Mark the page containing @p addr resident (a first touch). */
-    void touch(VAddr addr);
+    /**
+     * Mark the page containing @p addr resident.
+     * @return true if it was not resident before (a first touch).
+     */
+    bool touch(VAddr addr);
 
     /** Number of distinct mapped ranges (VMAs). */
     std::size_t vmaCount() const { return vmas.size(); }
@@ -102,20 +110,25 @@ class PageTable
   private:
     struct Vma
     {
+        VAddr start;
         VAddr end; ///< one past the last byte
         PageProt prot;
     };
 
     /**
-     * Remove all mapping state in [start, end), splitting VMAs that
-     * straddle the boundary. Used by map/unmap/protect.
+     * Replace all mapping state in [start, end) with @p fill (or with
+     * nothing when null), splitting VMAs that straddle the boundary.
+     * Used by map/unmap.
      */
-    void carve(VAddr start, VAddr end);
+    void carve(VAddr start, VAddr end, const Vma *fill);
 
-    /** start -> {end, prot}; ranges are disjoint. */
-    std::map<VAddr, Vma> vmas;
-    /** Page numbers of resident pages. */
-    std::set<VAddr> resident;
+    /** The VMA covering @p addr, or nullptr. */
+    const Vma *find(VAddr addr) const;
+
+    /** VMAs sorted by start; ranges are disjoint. */
+    FlatSeq<Vma> vmas;
+    /** Sorted page numbers of resident pages. */
+    FlatSeq<VAddr> resident;
 };
 
 } // namespace hfi::vm

@@ -369,6 +369,37 @@ TEST_F(SandboxTest, FirstTouchChargesPageFaultsOnce)
     EXPECT_EQ(mmu.stats().pageFaults, faults0 + 2);
 }
 
+TEST_F(SandboxTest, LargerForeignHfiRegionTrapsPastOwnMemory)
+{
+    // Two HFI sandboxes share one HfiContext and explicit slot 0. The
+    // second one's creation programs its four-page region there, so the
+    // first one's hmov checks now admit offsets up to 256 KiB, past its
+    // own one-page linear memory. Those accesses must trap, not run off
+    // the backing store; accesses inside its memory still work.
+    auto small = make(BackendKind::Hfi, {1, 8});
+    ASSERT_TRUE(small);
+    small->store<std::uint64_t>(kWasmPageSize - 8, 0x1122334455667788ULL);
+    auto large = make(BackendKind::Hfi, {4, 8});
+    ASSERT_TRUE(large);
+
+    const auto faults0 = mmu.stats().pageFaults;
+    EXPECT_THROW(small->load<std::uint32_t>(2 * kWasmPageSize), SandboxTrap);
+    EXPECT_THROW(small->store<std::uint8_t>(kWasmPageSize, 1), SandboxTrap);
+    // Straddles the end of the memory from an already-touched page.
+    EXPECT_THROW(small->load<std::uint64_t>(kWasmPageSize - 4), SandboxTrap);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0);
+    EXPECT_EQ(small->load<std::uint64_t>(kWasmPageSize - 8),
+              0x1122334455667788ULL);
+
+    // Growing the memory makes its second page reachable; the page past
+    // it still traps.
+    ASSERT_EQ(small->memoryGrow(1), 1);
+    large->rebindRegions(); // grow reprogrammed the slot; restore it
+    small->store<std::uint8_t>(kWasmPageSize, 7);
+    EXPECT_EQ(small->load<std::uint8_t>(kWasmPageSize), 7);
+    EXPECT_THROW(small->load<std::uint8_t>(2 * kWasmPageSize), SandboxTrap);
+}
+
 TEST_F(SandboxTest, IcacheSensitivityTaxesHfiAccesses)
 {
     // §6.1's gobmk effect: a big-code workload pays for hmov's longer

@@ -77,6 +77,54 @@ TEST(PageTable, ProtectAtFrontAndBack)
     EXPECT_EQ(table.protectionAt(0x12000), PageProt::ReadWrite);
 }
 
+TEST(PageTable, ProtectLeavesHolesUnmapped)
+{
+    // mprotect across a gap changes the mapped pieces only; it must not
+    // map the gap.
+    PageTable table;
+    table.map(0x10000, 0x2000, PageProt::None);
+    table.map(0x14000, 0x2000, PageProt::None);
+    table.protect(0x11000, 0x4000, PageProt::ReadWrite);
+    EXPECT_FALSE(table.isMapped(0x12000));
+    EXPECT_FALSE(table.isMapped(0x13fff));
+    EXPECT_EQ(table.protectionAt(0x12000), PageProt::None);
+    EXPECT_EQ(table.protectionAt(0x10000), PageProt::None);
+    EXPECT_EQ(table.protectionAt(0x11000), PageProt::ReadWrite);
+    EXPECT_EQ(table.protectionAt(0x14000), PageProt::ReadWrite);
+    EXPECT_EQ(table.protectionAt(0x15000), PageProt::None);
+    EXPECT_EQ(table.vmaCount(), 4u);
+
+    // A range with nothing mapped in it stays unmapped.
+    table.protect(0x20000, 0x4000, PageProt::ReadWrite);
+    EXPECT_FALSE(table.isMapped(0x20000));
+    EXPECT_EQ(table.vmaCount(), 4u);
+}
+
+TEST(PageTable, ProtectJoinsContiguousVmasInRange)
+{
+    // Adjacent mapped VMAs inside the range become one VMA, as a single
+    // mprotect over a fully mapped range always did.
+    PageTable table;
+    table.map(0x10000, 0x1000, PageProt::None);
+    table.map(0x11000, 0x1000, PageProt::Read);
+    table.map(0x12000, 0x1000, PageProt::ReadExec);
+    ASSERT_EQ(table.vmaCount(), 3u);
+    table.protect(0x10000, 0x3000, PageProt::ReadWrite);
+    EXPECT_EQ(table.vmaCount(), 1u);
+    EXPECT_EQ(table.protectionAt(0x12fff), PageProt::ReadWrite);
+}
+
+TEST(PageTable, EmptyRangesAreNoOps)
+{
+    PageTable table;
+    table.map(0x10000, 0x4000, PageProt::Read);
+    table.map(0x12000, 0, PageProt::ReadWrite);
+    table.protect(0x12000, 0, PageProt::ReadWrite);
+    table.unmap(0x12000, 0);
+    EXPECT_EQ(table.vmaCount(), 1u);
+    EXPECT_EQ(table.protectionAt(0x12000), PageProt::Read);
+}
+
 TEST(PageTable, UnmapRemovesRangeAndResidency)
 {
     PageTable table;
