@@ -60,6 +60,7 @@ HfiContext::setRegion(unsigned n, const Region &region)
             charge(costs_.codeRegionFlushCycles);
     }
     bank.setRegion(n, region);
+    ++regionEpoch_;
     ++stats_.regionUpdates;
     HFI_OBS_RECORD(trace_, obs::EventType::RegionSet, clock_.nowNsFast(), n);
     return HfiResult::Ok;
@@ -85,6 +86,7 @@ HfiContext::clearRegion(unsigned n)
         return HfiResult::Trap;
     }
     bank.setRegion(n, EmptyRegion{});
+    ++regionEpoch_;
     ++stats_.regionUpdates;
     HFI_OBS_RECORD(trace_, obs::EventType::RegionClear, clock_.nowNsFast(), n);
     return HfiResult::Ok;
@@ -100,6 +102,7 @@ HfiContext::clearAllRegions()
     }
     for (unsigned r = 0; r < kNumRegions; ++r)
         bank.setRegion(r, EmptyRegion{});
+    ++regionEpoch_;
     ++stats_.regionUpdates;
     HFI_OBS_RECORD(trace_, obs::EventType::RegionClear, clock_.nowNsFast(),
                    kNumRegions);
@@ -144,6 +147,7 @@ HfiContext::exit()
         // inside the runtime's own (hybrid) sandbox, so no serialization
         // is required for Spectre safety (§3.4).
         bank = shadow;
+        ++regionEpoch_;
         shadowValid = false;
         charge(costs_.switchBankCycles);
         ++stats_.bankSwitches;
@@ -237,6 +241,7 @@ HfiContext::xrstor(const HfiRegisterFile &file)
         return HfiResult::Trap;
     }
     bank = file;
+    ++regionEpoch_;
     return HfiResult::Ok;
 }
 
@@ -245,6 +250,7 @@ HfiContext::kernelXrstor(const HfiRegisterFile &file)
 {
     charge(costs_.xrstorHfiCycles);
     bank = file;
+    ++regionEpoch_;
     HFI_OBS_RECORD(trace_, obs::EventType::KernelXrstor, clock_.nowNsFast(),
                    file.enabled);
 }

@@ -247,6 +247,17 @@ class HfiContext
     /** The full active register bank (no cost; for the checker). */
     const HfiRegisterFile &registerFile() const { return bank; }
 
+    /**
+     * Region-write epoch: bumped by every write to the active bank's
+     * region registers — setRegion, clearRegion, clearAllRegions,
+     * xrstor, kernelXrstor and the switch-on-exit swap. It lives here,
+     * not in the HfiRegisterFile that xsave copies, so restoring an old
+     * image can never bring back an old epoch. An unchanged epoch means
+     * every hmov check against the bank still has its earlier outcome
+     * (Sandbox spans rely on this).
+     */
+    const std::uint64_t &regionEpoch() const { return regionEpoch_; }
+
     /** True if the last exit used the switch-on-exit path (for tests). */
     bool lastExitSwitched() const { return lastExitSwitched_; }
 
@@ -298,6 +309,7 @@ class HfiContext
 
     ExitReason msrExitReason = ExitReason::None;
     bool lastExitSwitched_ = false;
+    std::uint64_t regionEpoch_ = 0;
 
     obs::TraceBuffer *trace_ = nullptr;
 

@@ -77,12 +77,15 @@ struct AccessCheck
  * hfi_set_region and xrstor exactly as checkAccess does. Anything the
  * fast path does not admit goes to checkAccess, which stays the single
  * authority on traps and wraps. The bank belongs to the HfiContext the
- * backend itself holds, so it lives at least as long as the backend.
+ * backend itself holds, so it lives at least as long as the backend;
+ * so does @ref regionEpoch, that context's region-write epoch, which
+ * Sandbox spans compare to learn that the bank changed under them.
  */
 struct FastAccessPath
 {
     const core::HfiRegisterFile *bank = nullptr;
     unsigned explicitSlot = 0;
+    const std::uint64_t *regionEpoch = nullptr;
 };
 
 /**

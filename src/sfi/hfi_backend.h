@@ -66,7 +66,8 @@ class HfiBackend : public IsolationBackend
     FastAccessPath
     fastAccessPath() const override
     {
-        return {&ctx.registerFile(), config_.explicitSlot};
+        return {&ctx.registerFile(), config_.explicitSlot,
+                &ctx.regionEpoch()};
     }
     void enterSandbox() override;
     void exitSandbox() override;

@@ -13,7 +13,8 @@ LinearMemory::LinearMemory(std::uint64_t initial_pages,
 std::int64_t
 LinearMemory::grow(std::uint64_t delta_pages)
 {
-    if (sizePages + delta_pages > maxPages_)
+    // Compare against the headroom: sizePages + delta_pages can wrap.
+    if (sizePages > maxPages_ || delta_pages > maxPages_ - sizePages)
         return -1;
     const std::int64_t prev = static_cast<std::int64_t>(sizePages);
     sizePages += delta_pages;

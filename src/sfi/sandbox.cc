@@ -1,5 +1,6 @@
 #include "sfi/sandbox.h"
 
+#include <algorithm>
 #include <sstream>
 
 namespace hfi::sfi
@@ -79,6 +80,57 @@ Sandbox::flushCharge()
 {
     mmu_.clock().tick(pendingMilli / 1000);
     pendingMilli %= 1000;
+}
+
+bool
+Sandbox::rangeAdmits(std::uint64_t offset, std::uint64_t bytes) const
+{
+    if (bytes == 0 || !memory_.inBounds(offset, bytes))
+        return false;
+    if (!fast_.bank)
+        return true;
+    core::HmovOperands ops;
+    ops.index = static_cast<std::int64_t>(offset);
+    ops.width = static_cast<std::uint32_t>(bytes);
+    for (const bool write : {false, true}) {
+        if (!core::AccessChecker::checkHmov(*fast_.bank, fast_.explicitSlot,
+                                            ops, write)
+                 .ok)
+            return false;
+    }
+    return true;
+}
+
+Sandbox::SpanWindow::SpanWindow(Sandbox &sandbox, std::uint64_t offset,
+                                std::uint64_t count, std::uint64_t elem_size)
+    : sandbox_(sandbox), offset_(offset),
+      epoch_(sandbox.fast_.regionEpoch ? sandbox.fast_.regionEpoch
+                                       : &kNoRegionEpoch),
+      epoch0_(*epoch_), elemSize_(elem_size),
+      nextPage_(offset / vm::kPageSize)
+{
+    const std::uint64_t bytes =
+        count <= kMaxSpanBytes / elem_size ? count * elem_size : 0;
+    if (!sandbox.rangeAdmits(offset, bytes))
+        return;
+    admitted_ = count;
+    lastPage_ = (offset + bytes - 1) / vm::kPageSize;
+    refresh();
+}
+
+void
+Sandbox::SpanWindow::refresh()
+{
+    if (!admitted_)
+        return;
+    // An admitted range lies in the linear memory, which never shrinks,
+    // so its pages stay inside the touched map.
+    while (nextPage_ <= lastPage_ && sandbox_.touched[nextPage_])
+        ++nextPage_;
+    const std::uint64_t touched_end = nextPage_ * vm::kPageSize;
+    if (touched_end > offset_)
+        limit_ = std::min(
+            admitted_, (touched_end - offset_ + elemSize_ - 1) / elemSize_);
 }
 
 // The slow path behind fastPathAdmits: every trap, wrap and first touch

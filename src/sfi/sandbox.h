@@ -152,13 +152,9 @@ class Sandbox
     T
     load(std::uint64_t offset)
     {
-        const std::uint64_t at = fastPathAdmits(offset, sizeof(T), false)
-                                     ? offset
-                                     : checkedOffset(offset, sizeof(T),
-                                                     false);
-        ++stats_.loads;
-        chargeMilli(1000 + loadMilli);
-        return memory_.load<T>(at);
+        return loadAt<T>(fastPathAdmits(offset, sizeof(T), false)
+                             ? offset
+                             : checkedOffset(offset, sizeof(T), false));
     }
 
     /** Typed store at @p offset; throws SandboxTrap on a violation. */
@@ -166,13 +162,110 @@ class Sandbox
     void
     store(std::uint64_t offset, T value)
     {
-        const std::uint64_t at = fastPathAdmits(offset, sizeof(T), true)
-                                     ? offset
-                                     : checkedOffset(offset, sizeof(T),
-                                                     true);
-        ++stats_.stores;
-        chargeMilli(1000 + storeMilli);
-        memory_.store<T>(at, value);
+        storeAt<T>(fastPathAdmits(offset, sizeof(T), true)
+                       ? offset
+                       : checkedOffset(offset, sizeof(T), true),
+                   value);
+    }
+
+    /**
+     * The untyped state of a Span: the element range, how much of it the
+     * range check admitted, and how far its touched prefix reaches.
+     */
+    class SpanWindow
+    {
+      protected:
+        SpanWindow(Sandbox &sandbox, std::uint64_t offset,
+                   std::uint64_t count, std::uint64_t elem_size);
+
+        /**
+         * Extend the touched prefix past pages touched since it was last
+         * measured (by a delegated access or anything else).
+         */
+        void refresh();
+
+        Sandbox &sandbox_;
+        std::uint64_t offset_;
+        /** Elements i < limit_ take the fast path. */
+        std::uint64_t limit_ = 0;
+        const std::uint64_t *epoch_;
+        std::uint64_t epoch0_;
+
+      private:
+        /** Elements the range check admitted: the count, or 0. */
+        std::uint64_t admitted_ = 0;
+        std::uint64_t elemSize_;
+        /** Pages of the range before nextPage_ are known touched. */
+        std::uint64_t nextPage_;
+        std::uint64_t lastPage_ = 0;
+    };
+
+    /**
+     * A range-checked view of an array of T in the linear memory, for
+     * loops that sweep a known range. Element i is exactly the access
+     * Sandbox::load/store makes at offset + i * sizeof(T): same value or
+     * trap, same counters and charge in the same order, so every clock
+     * flush lands where it would without the span.
+     *
+     * The range check is done once, when the span is made: the whole
+     * byte range must lie in the linear memory and, under HFI, pass one
+     * hmov check of the range's width for loads and one for stores (the
+     * region check is monotone, so that admits every element). An
+     * element access then skips the per-access check when i is inside
+     * the admitted range, the 4 KiB pages up to its first byte are
+     * already touched, and — under HFI — the context's region-write
+     * epoch has not moved since the check (a grow, an xrstor or another
+     * sandbox on the core may have rewritten the slot). Anything else
+     * goes through Sandbox::load/store, the one slow path, so traps,
+     * wraps, first touches and trap reasons stay exact; after such an
+     * access the span extends its touched prefix. Making a span touches
+     * no page. Other backends need no epoch: their admitted set is the
+     * linear memory, which never shrinks.
+     *
+     * A span borrows its sandbox and must not outlive it.
+     */
+    template <typename T>
+    class Span : private SpanWindow
+    {
+      public:
+        T
+        load(std::uint64_t i)
+        {
+            const std::uint64_t at = offset_ + i * sizeof(T);
+            if (i < limit_ && *epoch_ == epoch0_)
+                return sandbox_.loadAt<T>(at);
+            const T value = sandbox_.load<T>(at);
+            refresh();
+            return value;
+        }
+
+        void
+        store(std::uint64_t i, T value)
+        {
+            const std::uint64_t at = offset_ + i * sizeof(T);
+            if (i < limit_ && *epoch_ == epoch0_) {
+                sandbox_.storeAt<T>(at, value);
+                return;
+            }
+            sandbox_.store<T>(at, value);
+            refresh();
+        }
+
+      private:
+        friend class Sandbox;
+
+        Span(Sandbox &sandbox, std::uint64_t offset, std::uint64_t count)
+            : SpanWindow(sandbox, offset, count, sizeof(T))
+        {
+        }
+    };
+
+    /** A Span over @p count elements of T at byte @p offset. */
+    template <typename T>
+    Span<T>
+    span(std::uint64_t offset, std::uint64_t count)
+    {
+        return Span<T>(*this, offset, count);
     }
 
     /**
@@ -225,6 +318,33 @@ class Sandbox
     std::uint64_t checkedOffset(std::uint64_t offset, std::uint32_t width,
                                 bool write);
 
+    /**
+     * True when every load and store inside [offset, offset + bytes)
+     * passes the fast path's check (not its touch test); false for an
+     * empty range.
+     */
+    bool rangeAdmits(std::uint64_t offset, std::uint64_t bytes) const;
+
+    /** The counted, charged data movement of an admitted load. */
+    template <typename T>
+    T
+    loadAt(std::uint64_t at)
+    {
+        ++stats_.loads;
+        chargeMilli(1000 + loadMilli);
+        return memory_.load<T>(at);
+    }
+
+    /** The counted, charged data movement of an admitted store. */
+    template <typename T>
+    void
+    storeAt(std::uint64_t at, T value)
+    {
+        ++stats_.stores;
+        chargeMilli(1000 + storeMilli);
+        memory_.store<T>(at, value);
+    }
+
     void
     chargeMilli(std::uint64_t milli)
     {
@@ -239,6 +359,12 @@ class Sandbox
      * models in particular) ever sees a large deferred burst.
      */
     static constexpr std::uint64_t kFlushThresholdMilli = 1'000'000;
+
+    /** Widest range one span admits: an hmov width is 32 bits. */
+    static constexpr std::uint64_t kMaxSpanBytes = 0xffffffffULL;
+
+    /** The epoch of backends whose admitted set never shrinks. */
+    static constexpr std::uint64_t kNoRegionEpoch = 0;
 
     std::unique_ptr<IsolationBackend> backend_;
     FastAccessPath fast_;

@@ -27,12 +27,15 @@ std::uint64_t
 xmlToJson(sfi::Sandbox &s, std::uint64_t in_off, std::uint64_t in_len)
 {
     Arena arena(s, in_off + in_len + 8);
-    const std::uint64_t out = arena.alloc(in_len * 2 + 64);
+    const std::uint64_t out_len = in_len * 2 + 64;
+    const std::uint64_t out = arena.alloc(out_len);
+    auto in = s.span<std::uint8_t>(in_off, in_len);
+    auto out_bytes = s.span<std::uint8_t>(out, out_len);
 
     Checksum sum;
     std::uint64_t at = 0;
     auto emit = [&](char c) {
-        s.store<std::uint8_t>(out + at++, static_cast<std::uint8_t>(c));
+        out_bytes.store(at++, static_cast<std::uint8_t>(c));
         sum.mix(static_cast<std::uint8_t>(c));
     };
 
@@ -41,18 +44,17 @@ xmlToJson(sfi::Sandbox &s, std::uint64_t in_off, std::uint64_t in_len)
     int depth = 0;
     bool first_at_depth[16] = {};
     while (i < in_len) {
-        const char c = static_cast<char>(s.load<std::uint8_t>(in_off + i));
+        const char c = static_cast<char>(in.load(i));
         s.chargeOps(4);
         if (c == '<') {
+            // A '<' ending the input has no lookahead byte to read.
             const bool closing =
-                static_cast<char>(s.load<std::uint8_t>(in_off + i + 1)) ==
-                '/';
+                i + 1 < in_len && static_cast<char>(in.load(i + 1)) == '/';
             // Scan the tag name.
             std::uint64_t j = i + (closing ? 2 : 1);
             std::string tag;
             while (j < in_len) {
-                const char t =
-                    static_cast<char>(s.load<std::uint8_t>(in_off + j));
+                const char t = static_cast<char>(in.load(j));
                 s.chargeOps(3);
                 if (t == '>')
                     break;
@@ -88,8 +90,7 @@ xmlToJson(sfi::Sandbox &s, std::uint64_t in_off, std::uint64_t in_len)
             emit('"');
             emit(':');
             while (i < in_len) {
-                const char t =
-                    static_cast<char>(s.load<std::uint8_t>(in_off + i));
+                const char t = static_cast<char>(in.load(i));
                 s.chargeOps(3);
                 if (t == '<')
                     break;
@@ -116,12 +117,19 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
     const std::uint32_t pooled_side = side / 2;
     const std::uint64_t pooled = arena.alloc(
         static_cast<std::uint64_t>(filters) * pooled_side * pooled_side * 4);
+    const std::uint64_t plane = static_cast<std::uint64_t>(side) * side;
+    const std::uint64_t pooled_plane =
+        static_cast<std::uint64_t>(pooled_side) * pooled_side;
+    auto img = s.span<std::uint8_t>(img_off, plane);
+    auto weights = s.span<std::int32_t>(conv_w, filters * 9);
+    auto features = s.span<std::int32_t>(fmap, filters * plane);
+    auto pooled_features =
+        s.span<std::int32_t>(pooled, filters * pooled_plane);
 
     Rng rng(seed);
     for (std::uint64_t i = 0; i < filters * 9; ++i) {
-        s.store<std::int32_t>(conv_w + i * 4,
-                              static_cast<std::int32_t>(rng.nextBelow(512)) -
-                                  256);
+        weights.store(i,
+                      static_cast<std::int32_t>(rng.nextBelow(512)) - 256);
     }
 
     // Convolution.
@@ -129,32 +137,21 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
         for (std::uint32_t y = 1; y + 1 < side; ++y) {
             for (std::uint32_t x = 1; x + 1 < side; ++x) {
                 std::int64_t acc = 0;
-                for (int ky = -1; ky <= 1; ++ky) {
-                    for (int kx = -1; kx <= 1; ++kx) {
-                        const std::uint64_t px_off =
-                            img_off +
-                            static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(y) + ky) *
-                                side +
-                            static_cast<std::uint64_t>(
-                                static_cast<std::int64_t>(x) + kx);
-                        const std::uint8_t px =
-                            s.load<std::uint8_t>(px_off);
-                        const std::int32_t w = s.load<std::int32_t>(
-                            conv_w + (f * 9 +
-                                      static_cast<std::uint32_t>(
-                                          (ky + 1) * 3 + kx + 1)) *
-                                         4);
+                for (std::uint32_t ky = 0; ky < 3; ++ky) {
+                    for (std::uint32_t kx = 0; kx < 3; ++kx) {
+                        const std::uint8_t px = img.load(
+                            static_cast<std::uint64_t>(y + ky - 1) * side +
+                            (x + kx - 1));
+                        const std::int32_t w =
+                            weights.load(f * 9 + ky * 3 + kx);
                         acc += static_cast<std::int64_t>(px) * w;
                     }
                 }
                 const std::int32_t relu = static_cast<std::int32_t>(
                     std::max<std::int64_t>(acc >> 4, 0));
-                s.store<std::int32_t>(
-                    fmap + (static_cast<std::uint64_t>(f) * side * side +
-                            static_cast<std::uint64_t>(y) * side + x) *
-                               4,
-                    relu);
+                features.store(f * plane +
+                                   static_cast<std::uint64_t>(y) * side + x,
+                               relu);
                 s.chargeOps(9 * 3 + 4);
             }
         }
@@ -165,25 +162,20 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
         for (std::uint32_t y = 0; y < pooled_side; ++y) {
             for (std::uint32_t x = 0; x < pooled_side; ++x) {
                 std::int32_t best = 0;
-                for (int dy = 0; dy < 2; ++dy) {
-                    for (int dx = 0; dx < 2; ++dx) {
+                for (std::uint32_t dy = 0; dy < 2; ++dy) {
+                    for (std::uint32_t dx = 0; dx < 2; ++dx) {
                         best = std::max(
                             best,
-                            s.load<std::int32_t>(
-                                fmap +
-                                (static_cast<std::uint64_t>(f) * side * side +
-                                 (2 * y + static_cast<std::uint32_t>(dy)) *
-                                     side +
-                                 2 * x + static_cast<std::uint32_t>(dx)) *
-                                    4));
+                            features.load(
+                                f * plane +
+                                static_cast<std::uint64_t>(2 * y + dy) *
+                                    side +
+                                2 * x + dx));
                     }
                 }
-                s.store<std::int32_t>(
-                    pooled + (static_cast<std::uint64_t>(f) * pooled_side *
-                                  pooled_side +
-                              static_cast<std::uint64_t>(y) * pooled_side +
-                              x) *
-                                 4,
+                pooled_features.store(
+                    f * pooled_plane +
+                        static_cast<std::uint64_t>(y) * pooled_side + x,
                     best);
                 s.chargeOps(8);
             }
@@ -194,10 +186,8 @@ classifyImage(sfi::Sandbox &s, std::uint64_t img_off, std::uint32_t side,
     // stream (kept in registers — a weight *matrix* would dwarf memory).
     Rng dense_rng(seed ^ 0xd15ea5e);
     std::int64_t logits[10] = {};
-    const std::uint64_t feat_count =
-        static_cast<std::uint64_t>(filters) * pooled_side * pooled_side;
-    for (std::uint64_t i = 0; i < feat_count; ++i) {
-        const std::int32_t v = s.load<std::int32_t>(pooled + i * 4);
+    for (std::uint64_t i = 0; i < filters * pooled_plane; ++i) {
+        const std::int32_t v = pooled_features.load(i);
         const std::uint64_t w = dense_rng.next();
         for (int k = 0; k < 10; ++k) {
             logits[k] += static_cast<std::int64_t>(v) *
@@ -255,13 +245,16 @@ renderTemplate(sfi::Sandbox &s, std::uint64_t tpl_off, std::uint64_t tpl_len,
                std::uint64_t rows, std::uint32_t seed)
 {
     Arena arena(s, tpl_off + tpl_len + 8);
-    const std::uint64_t out = arena.alloc(tpl_len + rows * 96 + 512);
+    const std::uint64_t out_len = tpl_len + rows * 96 + 512;
+    const std::uint64_t out = arena.alloc(out_len);
+    auto tpl = s.span<std::uint8_t>(tpl_off, tpl_len);
+    auto out_bytes = s.span<std::uint8_t>(out, out_len);
 
     Rng rng(seed);
     Checksum sum;
     std::uint64_t at = 0;
     auto emit = [&](char c) {
-        s.store<std::uint8_t>(out + at++, static_cast<std::uint8_t>(c));
+        out_bytes.store(at++, static_cast<std::uint8_t>(c));
         sum.mix(static_cast<std::uint8_t>(c));
     };
     auto emitStr = [&](const std::string &str) {
@@ -293,10 +286,10 @@ renderTemplate(sfi::Sandbox &s, std::uint64_t tpl_off, std::uint64_t tpl_len,
     std::uint64_t loop_start = 0;
     std::uint64_t loop_remaining = 0;
     while (i < tpl_len) {
-        const char c = static_cast<char>(s.load<std::uint8_t>(tpl_off + i));
+        const char c = static_cast<char>(tpl.load(i));
         s.chargeOps(4);
         if (c != '{' || i + 1 >= tpl_len ||
-            static_cast<char>(s.load<std::uint8_t>(tpl_off + i + 1)) != '{') {
+            static_cast<char>(tpl.load(i + 1)) != '{') {
             emit(c);
             ++i;
             continue;
@@ -305,12 +298,9 @@ renderTemplate(sfi::Sandbox &s, std::uint64_t tpl_off, std::uint64_t tpl_len,
         std::uint64_t j = i + 2;
         std::string token;
         while (j + 1 < tpl_len) {
-            const char t =
-                static_cast<char>(s.load<std::uint8_t>(tpl_off + j));
+            const char t = static_cast<char>(tpl.load(j));
             s.chargeOps(3);
-            if (t == '}' &&
-                static_cast<char>(s.load<std::uint8_t>(tpl_off + j + 1)) ==
-                    '}')
+            if (t == '}' && static_cast<char>(tpl.load(j + 1)) == '}')
                 break;
             token += t;
             ++j;

@@ -4,10 +4,11 @@
  * RNG, and the Workload descriptor used by benches and tests.
  *
  * Workloads are real algorithms whose data lives in sandbox linear
- * memory — every byte moves through Sandbox::load/store so the isolation
- * backend checks and charges each access — and whose ALU work is metered
- * with Sandbox::chargeOps. Each kernel returns a checksum so functional
- * correctness is testable independently of the backend.
+ * memory — every byte moves through Sandbox::load/store (directly or
+ * through a Sandbox::Span, which makes the same accesses) so the
+ * isolation backend checks and charges each access — and whose ALU work
+ * is metered with Sandbox::chargeOps. Each kernel returns a checksum so
+ * functional correctness is testable independently of the backend.
  */
 
 #ifndef HFI_WORKLOADS_SUPPORT_H

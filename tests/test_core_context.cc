@@ -329,6 +329,54 @@ TEST_F(ContextTest, StatsCountLifecycle)
     EXPECT_EQ(ctx.stats().exits, 2u);
 }
 
+TEST_F(ContextTest, RegionEpochCountsEveryBankWrite)
+{
+    // Every write to the active bank moves the epoch; nothing else does.
+    // It is not part of the saved image, so restoring an old image still
+    // moves it forward.
+    std::uint64_t epoch = ctx.regionEpoch();
+    auto moved = [&] {
+        const bool m = ctx.regionEpoch() > epoch;
+        epoch = ctx.regionEpoch();
+        return m;
+    };
+    const HfiRegisterFile old_image = ctx.xsave();
+    EXPECT_FALSE(moved());
+    ctx.setRegion(6, Region{heapRegion(0x10000, 0x10000)});
+    EXPECT_TRUE(moved());
+    ctx.clearRegion(6);
+    EXPECT_TRUE(moved());
+    ctx.clearAllRegions();
+    EXPECT_TRUE(moved());
+    EXPECT_EQ(ctx.xrstor(old_image), HfiResult::Ok);
+    EXPECT_TRUE(moved());
+    ctx.kernelXrstor(old_image);
+    EXPECT_TRUE(moved());
+
+    // Failed writes, reads, enter, exit and faults leave it alone.
+    EXPECT_EQ(ctx.setRegion(0, Region{heapRegion(0x10000, 0x10000)}),
+              HfiResult::Trap);
+    ctx.getRegion(6);
+    ctx.xsave();
+    SandboxConfig hybrid;
+    hybrid.isHybrid = true;
+    ctx.enter(hybrid);
+    ctx.exit();
+    ctx.onFault(ExitReason::HardwareFault);
+    EXPECT_FALSE(moved());
+
+    // Switch-on-exit swaps the whole bank back on hfi_exit.
+    ctx.enter(hybrid);
+    SandboxConfig child;
+    child.isHybrid = true;
+    child.switchOnExit = true;
+    ctx.enter(child);
+    EXPECT_FALSE(moved());
+    ctx.exit();
+    EXPECT_TRUE(ctx.lastExitSwitched());
+    EXPECT_TRUE(moved());
+}
+
 TEST(ExitReasonNames, AllDistinctAndNamed)
 {
     for (int i = 0; i <= static_cast<int>(ExitReason::IllegalXrstor); ++i) {

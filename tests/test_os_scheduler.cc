@@ -7,6 +7,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/checker.h"
 #include "os/scheduler.h"
 
@@ -212,8 +214,11 @@ TEST_F(SchedulerTest, ManyProcessesNoOnChipStateGrowth)
     // Create many processes, each with a distinct region, and verify
     // every one round-trips.
     std::vector<int> pids;
-    for (int i = 0; i < 64; ++i)
-        pids.push_back(sched.createProcess("p" + std::to_string(i)));
+    for (int i = 0; i < 64; ++i) {
+        std::string name = "p";
+        name += std::to_string(i);
+        pids.push_back(sched.createProcess(name));
+    }
     for (int pid : pids) {
         sched.switchTo(pid);
         ctx.setRegion(2, core::Region{region(0x10000ULL * (pid + 1))});

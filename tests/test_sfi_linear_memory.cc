@@ -39,6 +39,18 @@ TEST(LinearMemory, GrowBeyondMaxFails)
     EXPECT_EQ(mem.grow(1), -1);
 }
 
+TEST(LinearMemory, HugeGrowDeltaFailsWithoutWrapping)
+{
+    // size + delta wraps past 2^64; the grow must still fail.
+    for (const std::uint64_t delta :
+         {~0ULL, ~0ULL - 1, ~0ULL - 65534, 1ULL << 63}) {
+        LinearMemory mem(2, 65536);
+        EXPECT_EQ(mem.grow(delta), -1) << delta;
+        EXPECT_EQ(mem.pages(), 2u);
+        EXPECT_EQ(mem.size(), 2 * kWasmPageSize);
+    }
+}
+
 TEST(LinearMemory, NewPagesAreZero)
 {
     LinearMemory mem(1, 4);

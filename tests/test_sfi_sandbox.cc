@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <limits>
 #include <set>
+#include <variant>
 #include <string>
 #include <vector>
 
@@ -65,6 +66,39 @@ TEST_P(SandboxAllBackends, MemoryGrowSemantics)
     EXPECT_EQ(sandbox->memoryGrow(10), -1);
     EXPECT_EQ(sandbox->memory().pages(), 4u);
     EXPECT_EQ(sandbox->stats().growCalls, 2u);
+}
+
+TEST_P(SandboxAllBackends, HugeGrowDeltaChangesNothing)
+{
+    // size + delta wraps past 2^64. The grow must fail and leave the
+    // size, the HFI region bound and the first-touch map as they were.
+    auto sandbox = make(GetParam(), {2, 65536});
+    ASSERT_TRUE(sandbox);
+    sandbox->store<std::uint64_t>(8, 0x0123456789abcdefULL);
+    const auto faults0 = mmu.stats().pageFaults;
+    for (const std::uint64_t delta : {~0ULL, ~0ULL - 1, 1ULL << 63}) {
+        EXPECT_EQ(sandbox->memoryGrow(delta), -1) << delta;
+        EXPECT_EQ(sandbox->memory().pages(), 2u);
+        EXPECT_EQ(sandbox->memory().size(), 2 * kWasmPageSize);
+    }
+    if (GetParam() == BackendKind::Hfi) {
+        const unsigned slot =
+            static_cast<HfiBackend &>(sandbox->backend()).config().explicitSlot;
+        const core::Region &region =
+            ctx.region(core::kFirstExplicitRegion + slot);
+        ASSERT_TRUE(std::holds_alternative<core::ExplicitDataRegion>(region));
+        EXPECT_EQ(std::get<core::ExplicitDataRegion>(region).bound,
+                  2 * kWasmPageSize);
+    }
+    // The touched page takes no new fault; the last page takes its first.
+    EXPECT_EQ(sandbox->load<std::uint64_t>(8), 0x0123456789abcdefULL);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0);
+    sandbox->store<std::uint8_t>(2 * kWasmPageSize - 1, 1);
+    EXPECT_EQ(mmu.stats().pageFaults, faults0 + 1);
+    if (GetParam() != BackendKind::Mask) {
+        EXPECT_THROW(sandbox->load<std::uint8_t>(2 * kWasmPageSize),
+                     SandboxTrap);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, SandboxAllBackends,

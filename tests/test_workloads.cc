@@ -393,6 +393,24 @@ TEST_F(FaasWorkloads, XmlToJsonProducesJson)
     EXPECT_EQ(sum, sum2);
 }
 
+TEST_F(FaasWorkloads, XmlToJsonReadsNothingPastItsInput)
+{
+    // An input ending in '<' has no lookahead byte; the byte after the
+    // input must not decide whether the tag is a closing one.
+    const std::string xml = "<orders><id>7</id><";
+    std::uint64_t sums[2] = {};
+    const char planted[2] = {'/', 'a'};
+    for (int k = 0; k < 2; ++k) {
+        auto sandbox = makeSandbox(mmu, ctx, sfi::BackendKind::Hfi);
+        sandbox->memory().writeBytes(64, xml.data(), xml.size());
+        sandbox->memory().writeBytes(64 + xml.size(), &planted[k], 1);
+        ASSERT_TRUE(sandbox->invoke([&](sfi::Sandbox &s) {
+            sums[k] = faas::xmlToJson(s, 64, xml.size());
+        }));
+    }
+    EXPECT_EQ(sums[0], sums[1]);
+}
+
 TEST_F(FaasWorkloads, CheckSha256DetectsMatchAndMismatch)
 {
     auto sandbox = makeSandbox(mmu, ctx, sfi::BackendKind::Hfi);
